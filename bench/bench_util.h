@@ -2,9 +2,9 @@
 // scaling, series summarization, and aligned table printing.
 //
 // Every bench accepts LAKEORG_SCALE (a positive double, default noted per
-// bench) that multiplies the workload size, so the same binaries run
-// laptop-fast by default and approach the paper's scale with
-// LAKEORG_SCALE=1 or higher.
+// bench; anything else exits 2) that multiplies the workload size, so the
+// same binaries run laptop-fast by default and approach the paper's scale
+// with LAKEORG_SCALE=1 or higher.
 #pragma once
 
 #include <sys/resource.h>
@@ -12,11 +12,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "tools/flags.h"
 
 namespace lakeorg::bench {
 
@@ -65,14 +67,14 @@ inline double CurrentRssBytes() {
          static_cast<double>(sysconf(_SC_PAGESIZE));
 }
 
-/// Reads a positive double from the environment, with a default.
+/// Reads a positive double from the environment, with a default when it is
+/// unset or empty. Any other value that is not a positive number exits 2
+/// with "bad value for NAME", so a mistyped knob never runs a different
+/// workload.
 inline double EnvScale(const char* name, double fallback) {
   const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(value, &end);
-  if (end == value || parsed <= 0.0) return fallback;
-  return parsed;
+  if (value == nullptr || *value == '\0') return fallback;
+  return RealFlag(name, value, std::numeric_limits<double>::denorm_min());
 }
 
 /// Scales a count, keeping at least `min_value`.

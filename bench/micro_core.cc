@@ -3,7 +3,7 @@
 // application, incremental proposal evaluation, and BM25 query latency.
 #include <benchmark/benchmark.h>
 
-#include "bench/bench_gbench.h"
+#include "bench/bench_main.h"
 
 #include "benchgen/tagcloud.h"
 #include "core/evaluator.h"

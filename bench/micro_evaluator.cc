@@ -6,7 +6,7 @@
 // BM_OrganizationClone baselines.
 #include <benchmark/benchmark.h>
 
-#include "bench/bench_gbench.h"
+#include "bench/bench_main.h"
 
 #include <cmath>
 #include <cstdio>

@@ -233,8 +233,6 @@ Result<FleetReport> RunFleetOverSocket(const std::string& host, uint16_t port,
   Tally tally;
   std::vector<UserTrace> traces;
   if (options.record_traces) traces.resize(options.users);
-  std::vector<std::vector<double>> rtts(
-      std::max<size_t>(1, options.connections));
   size_t per_block = UsersPerBlock(options);
   size_t conns = std::max<size_t>(1, options.connections);
   std::atomic<bool> failed{false};
@@ -253,7 +251,7 @@ Result<FleetReport> RunFleetOverSocket(const std::string& host, uint16_t port,
     size_t begin = c * per_block;
     size_t end = std::min(options.users, begin + per_block);
     if (begin >= end) break;
-    threads.emplace_back([&, c, begin, end] {
+    threads.emplace_back([&, begin, end] {
       NavClient client;
       Status st = client.Connect(host, port, options.receive_timeout_seconds);
       if (!st.ok()) {
@@ -337,7 +335,6 @@ Result<FleetReport> RunFleetOverSocket(const std::string& host, uint16_t port,
         }
         if (owner.empty()) continue;
         tally.requests.fetch_add(owner.size(), std::memory_order_relaxed);
-        WallTimer burst;
         if (Status fst = client.Flush(); !fst.ok()) {
           fail(fst);
           return;
@@ -366,9 +363,6 @@ Result<FleetReport> RunFleetOverSocket(const std::string& host, uint16_t port,
             Record(options, &traces, user, {acts[j].op, rank, kInvalidId,
                                             false});
           }
-        }
-        if (options.record_latency) {
-          rtts[c].push_back(burst.ElapsedSeconds() * 1e6);
         }
       }
 
@@ -418,9 +412,6 @@ Result<FleetReport> RunFleetOverSocket(const std::string& host, uint16_t port,
   report.retry_later = tally.retry_later.load();
   report.requests = tally.requests.load();
   report.seconds = timer.ElapsedSeconds();
-  for (std::vector<double>& r : rtts) {
-    report.burst_rtt_us.insert(report.burst_rtt_us.end(), r.begin(), r.end());
-  }
   report.traces = std::move(traces);
   return report;
 }

@@ -76,8 +76,6 @@ struct FleetOptions {
   size_t open_retry_limit = 0;
   /// Record per-user traces (the equivalence test; costs memory).
   bool record_traces = false;
-  /// Record one round-trip latency sample per pipelined burst.
-  bool record_latency = false;
   /// Client receive timeout per reply (socket backend).
   double receive_timeout_seconds = 30.0;
 };
@@ -97,8 +95,6 @@ struct FleetReport {
   /// (in-process).
   uint64_t requests = 0;
   double seconds = 0.0;
-  /// Burst round-trip times in microseconds (record_latency).
-  std::vector<double> burst_rtt_us;
   /// traces[u] is user u's event sequence (record_traces).
   std::vector<UserTrace> traces;
 

@@ -4,14 +4,16 @@
 #   BENCH_fig2a_tagcloud.json   — the paper's headline artifact (E1)
 #   BENCH_micro_core.json       — hot-kernel microbenchmarks (M1)
 #   BENCH_micro_evaluator.json  — proposal-evaluation engine (M2)
-#   BENCH_nav_serving.json      — concurrent serving layer (E8)
-#   BENCH_wal_replay.json       — WAL append + crash recovery (E9)
-#   BENCH_net_serving.json      — TCP front end, Zipf fleet (E10)
+#   BENCH_nav_serving.json      — concurrent serving layer, cached vs
+#                                 uncached (E8)
 #   BENCH_scalability.json      — TagCloud sweep + sharded Socrata
 #                                 sweep with the epsilon gate (S1);
 #                                 the slowest baseline by far
 #   BENCH_adaptive_serving.json — closed adaptive loop vs frozen org
 #                                 (E11, docs/ADAPTIVE.md)
+#
+# Serving over sockets and WAL durability are measured by perfbench's
+# navigate and evolve workloads (perfbench/README.md), not by a baseline.
 #
 # Run on a quiet machine, then commit the refreshed files. Gate future
 # changes with:
@@ -43,15 +45,12 @@ echo "bench_baseline.sh: baselining clean tree at $sha"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs" \
   --target fig2a_tagcloud micro_core micro_evaluator nav_serving \
-           wal_replay net_serving scalability adaptive_serving \
-           bench_compare
+           scalability adaptive_serving bench_compare
 
 ./build/bench/fig2a_tagcloud --json=BENCH_fig2a_tagcloud.json
 ./build/bench/micro_core --json=BENCH_micro_core.json
 ./build/bench/micro_evaluator --json=BENCH_micro_evaluator.json
 ./build/bench/nav_serving --json=BENCH_nav_serving.json
-./build/bench/wal_replay --json=BENCH_wal_replay.json
-./build/bench/net_serving --json=BENCH_net_serving.json
 # The default sweep (multipliers 1,10 plus the multiplier-1 unsharded
 # epsilon gate) runs for many minutes; the reports embed the LAKEORG_*
 # environment, so keep it unset here as for every other baseline.
@@ -60,7 +59,6 @@ cmake --build build -j "$jobs" \
 
 for report in BENCH_fig2a_tagcloud.json BENCH_micro_core.json \
               BENCH_micro_evaluator.json BENCH_nav_serving.json \
-              BENCH_wal_replay.json BENCH_net_serving.json \
               BENCH_scalability.json BENCH_adaptive_serving.json; do
   ./build/tools/bench_compare --check "$report"
   # Belt-and-braces: the report must carry the SHA we just resolved. The

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "flags.h"
-#include "obs/bench_report.h"
+#include "bench/bench_report.h"
 
 namespace {
 
@@ -34,8 +34,8 @@ int Usage() {
 
 int main(int argc, char** argv) {
   using lakeorg::Result;
-  using lakeorg::obs::BenchComparison;
-  using lakeorg::obs::BenchReport;
+  using lakeorg::bench::BenchComparison;
+  using lakeorg::bench::BenchReport;
 
   bool check_only = false;
   bool ignore_env = false;
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
 
   if (check_only) {
     if (paths.size() != 1) return Usage();
-    Result<BenchReport> report = lakeorg::obs::LoadBenchReportFile(paths[0]);
+    Result<BenchReport> report = lakeorg::bench::LoadBenchReportFile(paths[0]);
     if (!report.ok()) {
       std::fprintf(stderr, "bench_compare: %s: %s\n", paths[0].c_str(),
                    report.status().message().c_str());
@@ -76,20 +76,20 @@ int main(int argc, char** argv) {
   }
 
   if (paths.size() != 2) return Usage();
-  Result<BenchReport> baseline = lakeorg::obs::LoadBenchReportFile(paths[0]);
+  Result<BenchReport> baseline = lakeorg::bench::LoadBenchReportFile(paths[0]);
   if (!baseline.ok()) {
     std::fprintf(stderr, "bench_compare: %s: %s\n", paths[0].c_str(),
                  baseline.status().message().c_str());
     return 1;
   }
-  Result<BenchReport> current = lakeorg::obs::LoadBenchReportFile(paths[1]);
+  Result<BenchReport> current = lakeorg::bench::LoadBenchReportFile(paths[1]);
   if (!current.ok()) {
     std::fprintf(stderr, "bench_compare: %s: %s\n", paths[1].c_str(),
                  current.status().message().c_str());
     return 1;
   }
 
-  BenchComparison cmp = lakeorg::obs::CompareBenchReports(
+  BenchComparison cmp = lakeorg::bench::CompareBenchReports(
       baseline.value(), current.value(), threshold, min_seconds, ignore_env);
   std::printf("%s", cmp.Format(threshold).c_str());
   return cmp.ok ? 0 : 1;
