@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -54,22 +55,23 @@ using bench::PeakRssBytes;
 
 constexpr double kMiB = 1024.0 * 1024.0;
 
-/// Comma-separated multiplier list from the environment.
+/// Comma-separated multiplier list from the environment (unset or empty
+/// means `fallback`). Each entry must be a positive real: a malformed or
+/// empty entry exits 2 like every other bench knob (bench_util.h EnvScale).
 std::vector<double> ParseMultipliers(const char* name,
                                      const std::string& fallback) {
   const char* env = std::getenv(name);
-  std::string spec = env != nullptr ? env : fallback;
+  std::string spec = env != nullptr && *env != '\0' ? env : fallback;
   std::vector<double> out;
-  const char* p = spec.c_str();
-  while (*p != '\0') {
-    char* end = nullptr;
-    double v = std::strtod(p, &end);
-    if (end == p) break;
-    if (v > 0.0) out.push_back(v);
-    p = *end == ',' ? end + 1 : end;
+  size_t start = 0;
+  while (true) {
+    size_t comma = spec.find(',', start);
+    std::string entry = spec.substr(start, comma - start);
+    out.push_back(RealFlag(name, entry.c_str(),
+                           std::numeric_limits<double>::denorm_min()));
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
   }
-  if (out.empty()) out.push_back(1.0);
-  return out;
 }
 
 /// "1x", "10x", "0.05x" — stable gauge/report labels per multiplier.
@@ -126,6 +128,20 @@ int Main(const bench::BenchOptions& bopts) {
   using bench::Scaled;
 
   std::vector<std::string> failures;
+
+  // Part B's knobs are read up front, so a bad value exits before any work.
+  std::vector<double> multipliers =
+      bopts.smoke ? std::vector<double>{0.05}
+                  : ParseMultipliers("LAKEORG_SCALABILITY_MULTIPLIERS",
+                                     "1,10");
+  double epsilon = bench::EnvScale("LAKEORG_SHARD_EPSILON", 0.05);
+  // Measured on a 1-CPU machine: 100x generates in ~6 s and builds in
+  // ~970 s (140 serial shard searches; multi-core machines overlap
+  // them). 1200 leaves ~20% headroom while still catching superlinear
+  // regressions: an O(n*k^2) k-medoids seeding would overshoot by hours.
+  double ceiling_s =
+      bench::EnvScale("LAKEORG_SCALABILITY_CEILING_S", 1200.0);
+  double budget_mb = bench::EnvScale("LAKEORG_SHARD_BUDGET_MB", 4096.0);
 
   // ---------------------------------------------------------------- Part A
   double scale = bopts.Scale(1.0, 0.5);
@@ -205,19 +221,6 @@ int Main(const bench::BenchOptions& bopts) {
               PeakRssBytes() / kMiB);
 
   // ---------------------------------------------------------------- Part B
-  std::vector<double> multipliers =
-      bopts.smoke ? std::vector<double>{0.05}
-                  : ParseMultipliers("LAKEORG_SCALABILITY_MULTIPLIERS",
-                                     "1,10");
-  double epsilon = bench::EnvScale("LAKEORG_SHARD_EPSILON", 0.05);
-  // Measured on this 1-CPU box: 100x generates in ~6 s and builds in
-  // ~970 s (140 serial shard searches; multi-core machines overlap
-  // them). 1200 leaves ~20% headroom while still catching superlinear
-  // regressions — the O(n*k^2) k-medoids seeding this PR fixed would
-  // overshoot by hours.
-  double ceiling_s =
-      bench::EnvScale("LAKEORG_SCALABILITY_CEILING_S", 1200.0);
-  double budget_mb = bench::EnvScale("LAKEORG_SHARD_BUDGET_MB", 4096.0);
   constexpr size_t kDiscoverySample = 1500;
 
   PrintHeader("Scalability B — sharded Socrata sweep (multiplier x 1,000 "

@@ -300,12 +300,17 @@ Result<RepairResult> RepairOrganization(const Organization& org,
     }
   }
 
-  RepairResult res{std::move(out), ctx};
-  res.leaves_added = leaves_added;
-  res.leaves_removed = leaves_removed;
-  res.states_dropped = states_dropped;
-  res.affected_states = affected_states;
-  res.states_touched = affected_states.size();
+  RepairResult res{.org = std::move(out),
+                   .ctx = ctx,
+                   .effectiveness = 0.0,
+                   .splice_effectiveness = 0.0,
+                   .states_touched = affected_states.size(),
+                   .affected_states = affected_states,
+                   .leaves_added = leaves_added,
+                   .leaves_removed = leaves_removed,
+                   .states_dropped = states_dropped,
+                   .reopt_proposals = 0,
+                   .seconds = 0.0};
 
   if (options.reopt_max_proposals > 0 && !affected_states.empty()) {
     LocalSearchOptions search;

@@ -230,111 +230,4 @@ Result<Organization> LoadOrganizationFromFile(
   return org;
 }
 
-// ---------------------------------------------------------------------------
-// Multi-dimensional organizations
-// ---------------------------------------------------------------------------
-
-namespace {
-constexpr const char* kMultiMagic = "lakeorg-multidim";
-}  // namespace
-
-Status SaveMultiDimOrganization(const MultiDimOrganization& org,
-                                std::ostream* out) {
-  *out << kMultiMagic << " " << kVersion << "\n";
-  *out << "dimensions " << org.num_dimensions() << "\n";
-  for (size_t d = 0; d < org.num_dimensions(); ++d) {
-    const OrgContext& ctx = org.dimension(d).ctx();
-    *out << "dimension " << d << " tags " << ctx.num_tags();
-    for (size_t t = 0; t < ctx.num_tags(); ++t) {
-      *out << " " << ctx.lake_tag(t);
-    }
-    *out << "\n";
-    LAKEORG_RETURN_NOT_OK(SaveOrganization(org.dimension(d), out));
-  }
-  if (!out->good()) return Status::Internal("stream write failed");
-  return Status::OK();
-}
-
-Status SaveMultiDimOrganizationToFile(const MultiDimOrganization& org,
-                                      const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::NotFound("cannot open for writing: " + path);
-  LAKEORG_RETURN_NOT_OK(SaveMultiDimOrganization(org, &out));
-  out.flush();
-  if (!out) {
-    return Status::Internal("short write saving organization to " + path);
-  }
-  return Status::OK();
-}
-
-Result<MultiDimOrganization> LoadMultiDimOrganization(
-    const DataLake& lake, const TagIndex& index, std::istream* in) {
-  std::string magic;
-  std::string version;
-  if (!(*in >> magic >> version) || magic != kMultiMagic ||
-      version != kVersion) {
-    return Status::InvalidArgument("bad multidim header");
-  }
-  std::string keyword;
-  size_t num_dims = 0;
-  if (!(*in >> keyword >> num_dims) || keyword != "dimensions" ||
-      num_dims == 0) {
-    return Status::InvalidArgument("expected 'dimensions <n>'");
-  }
-  std::vector<Organization> dims;
-  std::vector<ShardSearchInfo> info;
-  dims.reserve(num_dims);
-  info.reserve(num_dims);
-  for (size_t d = 0; d < num_dims; ++d) {
-    size_t dim_no = 0;
-    size_t num_tags = 0;
-    if (!(*in >> keyword >> dim_no) || keyword != "dimension" ||
-        dim_no != d) {
-      return Status::InvalidArgument("malformed dimension header " +
-                                     std::to_string(d));
-    }
-    if (!(*in >> keyword >> num_tags) || keyword != "tags" ||
-        num_tags == 0) {
-      return Status::InvalidArgument("malformed tag list in dimension " +
-                                     std::to_string(d));
-    }
-    std::vector<TagId> tags(num_tags);
-    for (TagId& t : tags) {
-      if (!(*in >> t) || t >= lake.num_tags()) {
-        return Status::InvalidArgument("bad lake tag id in dimension " +
-                                       std::to_string(d));
-      }
-    }
-    std::shared_ptr<const OrgContext> ctx =
-        OrgContext::Build(lake, index, tags);
-    if (ctx->num_tags() != num_tags) {
-      return Status::FailedPrecondition(
-          "lake does not match the saved partition (dimension " +
-          std::to_string(d) + " expected " + std::to_string(num_tags) +
-          " non-empty tags, lake provides " +
-          std::to_string(ctx->num_tags()) + ")");
-    }
-    Result<Organization> org = LoadOrganization(ctx, in);
-    if (!org.ok()) return org.status();
-    ShardSearchInfo di;
-    di.num_tags = ctx->num_tags();
-    di.num_attrs = ctx->num_attrs();
-    di.num_tables = ctx->num_tables();
-    info.push_back(di);
-    dims.push_back(std::move(org).value());
-  }
-  return MultiDimOrganization(std::move(dims), std::move(info));
-}
-
-Result<MultiDimOrganization> LoadMultiDimOrganizationFromFile(
-    const DataLake& lake, const TagIndex& index, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open for reading: " + path);
-  Result<MultiDimOrganization> org = LoadMultiDimOrganization(lake, index, &in);
-  if (in.bad()) {
-    return Status::Internal("read error loading organization from " + path);
-  }
-  return org;
-}
-
 }  // namespace lakeorg

@@ -17,7 +17,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "core/multidim.h"
 #include "core/organization.h"
 
 namespace lakeorg {
@@ -38,34 +37,5 @@ Result<Organization> LoadOrganization(
 /// Convenience: load from a file path.
 Result<Organization> LoadOrganizationFromFile(
     std::shared_ptr<const OrgContext> ctx, const std::string& path);
-
-// Multi-dimensional organizations ------------------------------------------
-//
-// Format (version 1): a `lakeorg-multidim v1` header, then per dimension a
-// `dimension <i> tags <n> <lake tag ids...>` line followed by that
-// dimension's single-organization section. Loading rebuilds each
-// dimension's OrgContext from the recorded tag partition, so the lake
-// must be reconstructed identically (same tables/tags in the same order)
-// — which deterministic ingestion (CSV, generators with fixed seeds)
-// guarantees.
-
-/// Writes all dimensions of `org` to `out`.
-Status SaveMultiDimOrganization(const MultiDimOrganization& org,
-                                std::ostream* out);
-
-/// Convenience: save to a file path.
-Status SaveMultiDimOrganizationToFile(const MultiDimOrganization& org,
-                                      const std::string& path);
-
-/// Reads a multi-dimensional organization over `lake`/`index` (the same
-/// lake it was built from). Per-dimension statistics are recomputed
-/// structurally; optimization metadata (timings, proposals) is not
-/// persisted.
-Result<MultiDimOrganization> LoadMultiDimOrganization(
-    const DataLake& lake, const TagIndex& index, std::istream* in);
-
-/// Convenience: load from a file path.
-Result<MultiDimOrganization> LoadMultiDimOrganizationFromFile(
-    const DataLake& lake, const TagIndex& index, const std::string& path);
 
 }  // namespace lakeorg

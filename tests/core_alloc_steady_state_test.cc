@@ -10,11 +10,9 @@
 #include <new>
 
 #include "benchgen/tagcloud.h"
-#include "core/alloc_stats.h"
 #include "core/evaluator.h"
 #include "core/operations.h"
 #include "core/org_builders.h"
-#include "obs/metrics.h"
 
 namespace {
 
@@ -57,14 +55,22 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+// Not inlined: once a delete is inlined down to free(), GCC pairs that
+// free() with the operator new call and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -79,30 +85,6 @@ TagCloudBenchmark SmallBench(uint64_t seed) {
   opts.max_values = 15;
   opts.seed = seed;
   return GenerateTagCloud(opts);
-}
-
-TEST(AllocStatsTest, PublishesDeltasIntoCoreCounters) {
-  SetAllocStatsSource(&g_allocations, &g_alloc_bytes);
-  ASSERT_TRUE(AllocStatsAvailable());
-  obs::SetMetricsEnabled(true);
-  obs::ResetAllMetrics();
-  PublishCoreAllocMetrics();  // Baseline: publishes whatever ran before.
-  obs::ResetAllMetrics();
-
-  uint64_t calls_before = AllocCallsNow();
-  Vec* waste = new Vec(100, 1.0f);
-  delete waste;
-  PublishCoreAllocMetrics();
-  uint64_t published = obs::GetCounter("core.alloc_calls_total").value();
-  EXPECT_GE(published, AllocCallsNow() - calls_before - 2);
-  EXPECT_GE(published, 1u);
-  EXPECT_GE(obs::GetCounter("core.alloc_bytes_total").value(),
-            100 * sizeof(float));
-
-  obs::SetMetricsEnabled(false);
-  SetAllocStatsSource(nullptr, nullptr);
-  EXPECT_FALSE(AllocStatsAvailable());
-  EXPECT_EQ(AllocCallsNow(), 0u);
 }
 
 // The acceptance bar for the SoA refactor: once every scratch buffer,
@@ -175,16 +157,14 @@ TEST(AllocSteadyStateTest, ProposalCycleIsAllocationFree) {
     if (del_target != kInvalidId) cycle(del_target, false);
   }
 
-  SetAllocStatsSource(&g_allocations, &g_alloc_bytes);
-  const uint64_t calls_before = AllocCallsNow();
-  const uint64_t bytes_before = AllocBytesNow();
+  const uint64_t calls_before = g_allocations.load();
+  const uint64_t bytes_before = g_alloc_bytes.load();
   for (int i = 0; i < 50; ++i) {
     cycle(add_target, true);
     if (del_target != kInvalidId) cycle(del_target, false);
   }
-  const uint64_t calls_after = AllocCallsNow();
-  const uint64_t bytes_after = AllocBytesNow();
-  SetAllocStatsSource(nullptr, nullptr);
+  const uint64_t calls_after = g_allocations.load();
+  const uint64_t bytes_after = g_alloc_bytes.load();
 
   EXPECT_EQ(calls_after - calls_before, 0u)
       << "steady-state proposal cycle allocated " << calls_after - calls_before

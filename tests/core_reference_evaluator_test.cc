@@ -63,7 +63,9 @@ TEST_F(ReferenceEvaluatorTest, RootReachIsOneAndReachIsAProbability) {
   for (StateId s = 0; s < org_->num_states(); ++s) {
     EXPECT_GE(reach[s], 0.0) << "state " << s;
     EXPECT_LE(reach[s], 1.0 + 1e-12) << "state " << s;
-    if (!org_->state(s).alive) EXPECT_EQ(reach[s], 0.0);
+    if (!org_->state(s).alive) {
+      EXPECT_EQ(reach[s], 0.0);
+    }
   }
 }
 

@@ -270,9 +270,6 @@ TEST(SerializationTest, SaveToUnwritablePathFails) {
   Organization org = BuildFlatOrganization(ctx);
   Status st = SaveOrganizationToFile(org, "/nonexistent-dir/out.org");
   EXPECT_FALSE(st.ok());
-  st = SaveMultiDimOrganizationToFile(MultiDimOrganization({}, {}),
-                                      "/nonexistent-dir/out.org");
-  EXPECT_FALSE(st.ok());
 }
 
 TEST(SerializationTest, CorruptTagIdFails) {
@@ -305,110 +302,6 @@ TEST(SerializationTest, EdgeAgainstInclusionFails) {
   EXPECT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("rejected"),
             std::string::npos);
-}
-
-TEST(MultiDimSerializationTest, RoundTrip) {
-  TagCloudOptions opts;
-  opts.num_tags = 16;
-  opts.target_attributes = 70;
-  opts.min_values = 5;
-  opts.max_values = 12;
-  opts.seed = 8;
-  TagCloudBenchmark bench = GenerateTagCloud(opts);
-  TagIndex index = TagIndex::Build(bench.lake);
-  ShardedSearchOptions mopts;
-  mopts.shards = 3;
-  mopts.search.patience = 15;
-  mopts.search.max_proposals = 60;
-  mopts.num_threads = 1;
-  MultiDimOrganization org =
-      BuildMultiDimOrganization(bench.lake, index, mopts).value();
-
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveMultiDimOrganization(org, &buffer).ok());
-  Result<MultiDimOrganization> loaded =
-      LoadMultiDimOrganization(bench.lake, index, &buffer);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded.value().num_dimensions(), org.num_dimensions());
-  for (size_t d = 0; d < org.num_dimensions(); ++d) {
-    const Organization& a = org.dimension(d);
-    const Organization& b = loaded.value().dimension(d);
-    EXPECT_TRUE(b.Validate().ok()) << b.Validate().ToString();
-    EXPECT_EQ(a.NumAliveStates(), b.NumAliveStates());
-    EXPECT_EQ(a.NumEdges(), b.NumEdges());
-    EXPECT_EQ(a.ctx().num_tags(), b.ctx().num_tags());
-  }
-  // Combined discovery agrees across the round trip.
-  TransitionConfig config;
-  MultiDimSuccess before = EvaluateMultiDimDiscovery(org, config);
-  MultiDimSuccess after =
-      EvaluateMultiDimDiscovery(loaded.value(), config);
-  ASSERT_EQ(before.tables.size(), after.tables.size());
-  for (size_t i = 0; i < before.tables.size(); ++i) {
-    EXPECT_EQ(before.tables[i], after.tables[i]);
-    EXPECT_NEAR(before.success[i], after.success[i], 1e-6);
-  }
-}
-
-TEST(MultiDimSerializationTest, FileRoundTrip) {
-  TagCloudOptions opts;
-  opts.num_tags = 10;
-  opts.target_attributes = 40;
-  opts.min_values = 5;
-  opts.max_values = 10;
-  opts.seed = 9;
-  TagCloudBenchmark bench = GenerateTagCloud(opts);
-  TagIndex index = TagIndex::Build(bench.lake);
-  ShardedSearchOptions mopts;
-  mopts.shards = 2;
-  mopts.optimize = false;
-  mopts.num_threads = 1;
-  MultiDimOrganization org =
-      BuildMultiDimOrganization(bench.lake, index, mopts).value();
-  std::string path = ::testing::TempDir() + "/lakeorg_multidim.org";
-  ASSERT_TRUE(SaveMultiDimOrganizationToFile(org, path).ok());
-  Result<MultiDimOrganization> loaded =
-      LoadMultiDimOrganizationFromFile(bench.lake, index, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().num_dimensions(), org.num_dimensions());
-}
-
-TEST(MultiDimSerializationTest, MismatchedLakeFails) {
-  TagCloudOptions opts;
-  opts.num_tags = 10;
-  opts.target_attributes = 40;
-  opts.min_values = 5;
-  opts.max_values = 10;
-  opts.seed = 9;
-  TagCloudBenchmark bench = GenerateTagCloud(opts);
-  TagIndex index = TagIndex::Build(bench.lake);
-  ShardedSearchOptions mopts;
-  mopts.shards = 2;
-  mopts.optimize = false;
-  mopts.num_threads = 1;
-  MultiDimOrganization org =
-      BuildMultiDimOrganization(bench.lake, index, mopts).value();
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveMultiDimOrganization(org, &buffer).ok());
-
-  // A different lake: tag ids out of range or partition mismatch.
-  opts.seed = 10;
-  opts.num_tags = 4;
-  TagCloudBenchmark other = GenerateTagCloud(opts);
-  TagIndex other_index = TagIndex::Build(other.lake);
-  Result<MultiDimOrganization> loaded =
-      LoadMultiDimOrganization(other.lake, other_index, &buffer);
-  EXPECT_FALSE(loaded.ok());
-}
-
-TEST(MultiDimSerializationTest, BadHeaderFails) {
-  testing::TinyLake tiny = testing::MakeTinyLake();
-  TagIndex index = TagIndex::Build(tiny.lake);
-  std::stringstream buffer("wrong-header v1\n");
-  Result<MultiDimOrganization> loaded =
-      LoadMultiDimOrganization(tiny.lake, index, &buffer);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -43,7 +43,9 @@ TEST_P(Bm25Property, ScoresAreFiniteSortedAndMatchOnly) {
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_TRUE(std::isfinite(hits[i].score));
     EXPECT_GT(hits[i].score, 0.0);
-    if (i > 0) EXPECT_GE(hits[i - 1].score, hits[i].score);
+    if (i > 0) {
+      EXPECT_GE(hits[i - 1].score, hits[i].score);
+    }
     EXPECT_TRUE(seen.insert(hits[i].doc).second) << "duplicate doc";
   }
   // Every hit contains at least one query term; every doc containing a
