@@ -16,6 +16,10 @@ struct EvalMetrics {
   obs::Counter& proposals = obs::GetCounter("eval.proposals_total");
   obs::Counter& initializes = obs::GetCounter("eval.initializes_total");
   obs::Counter& dirty_states = obs::GetCounter("eval.dirty_states_total");
+  obs::Counter& decision_states =
+      obs::GetCounter("eval.decision_states_total");
+  obs::Counter& commit_closure_states =
+      obs::GetCounter("eval.commit_closure_states_total");
   obs::Counter& alive_states = obs::GetCounter("eval.alive_states_total");
   obs::Counter& affected_queries =
       obs::GetCounter("eval.affected_queries_total");
@@ -428,6 +432,7 @@ void IncrementalEvaluator::Initialize(const Organization& org) {
   obs::ScopedTimer span(&em.initialize_us);
   em.initializes.Add();
   committed_ = &org;
+  pending_ = nullptr;
   size_t num_q = reps_.query_attrs.size();
   OrgEvaluator eval(config_);
   kappa_stride_ = org.num_states();
@@ -606,18 +611,21 @@ void IncrementalEvaluator::EvaluateProposal(
     if (dirty_mark_[leaf]) out->affected_queries.push_back(q);
   }
 
-  // Recompute reach over the dirty set for each affected query, push-style
-  // along the proposal's topological order. Frontier (non-dirty) parents
-  // contribute their committed-org values, repaired on demand; those
-  // states have only non-dirty ancestors, whose edges and child topics
-  // the operation did not touch, so the repair is valid even when
-  // `proposal` is the committed organization mutated in place.
+  // The accept/reject decision needs each affected query's reach at its
+  // own leaf only. Push it along the proposal's topological order over the
+  // leaf's dirty ancestors (kReceives) from their parents (kSweeps).
+  // Frontier (non-dirty) parents contribute their committed-org values,
+  // repaired on demand; those states have only non-dirty ancestors, whose
+  // edges and child topics the operation did not touch, so the repair is
+  // valid even when `proposal` is the committed organization mutated in
+  // place. Every parent of a receiving state is swept, in the order
+  // Commit's closure DP sweeps it, so the leaf sums the same contributions
+  // in the same order there: the two values are bit-identical.
   //
   // Query-independent DP skeleton: the topo-ordered states with a dirty
   // child. Hoisting this out of the per-query loop removes a full
-  // graph scan per affected query; the per-query arithmetic below visits
-  // the same states in the same order, so results are bit-identical.
-  // Their row slots are reserved here, before the per-query loop.
+  // graph scan per affected query. Their row slots are reserved here,
+  // before the per-query loop.
   relevant_parents_.clear();
   for (StateId s : topo_) {
     IdSpan children = proposal.children(s);
@@ -630,45 +638,46 @@ void IncrementalEvaluator::EvaluateProposal(
     }
   }
 
-  const size_t stride = out->dirty.size();
-  out->new_reach.assign(out->affected_queries.size() * stride, 0.0);
   std::vector<double>& scr = scratch_.state_reach;
   scr.resize(n);
-  for (size_t qi = 0; qi < out->affected_queries.size(); ++qi) {
-    uint32_t q = out->affected_queries[qi];
+  leaf_mark_.assign(n, 0);
+  new_discovery_.assign(reps_.query_attrs.size(), -1.0);
+  out->new_discovery.clear();
+  out->affected_attrs = 0;
+  affected_tables_.clear();
+  uint64_t decision_states = 0;
+  for (uint32_t q : out->affected_queries) {
     const Vec& query = QueryVec(q);
-    for (StateId d : out->dirty) scr[d] = 0.0;
+    StateId leaf = proposal.LeafOf(reps_.query_attrs[q]);
+    MarkLeafAncestors(proposal, leaf);
     for (StateId s : relevant_parents_) {
-      IdSpan children = proposal.children(s);
-      double value = dirty_mark_[s] ? scr[s] : EnsureFresh(q, s);
+      double value;
+      if (dirty_mark_[s]) {
+        if (!(leaf_mark_[s] & kSweeps)) continue;
+        value = scr[s];
+      } else {
+        // Every frontier parent is repaired, swept or not: Commit reads
+        // them, and StateReachability reads the repaired entries to order
+        // the search's targets.
+        value = EnsureFresh(q, s);
+        if (!(leaf_mark_[s] & kSweeps)) continue;
+      }
+      ++decision_states;
       if (value == 0.0) continue;
       const double* probs =
           TransitionsFromInto(proposal, s, q, query, query_norms_[q]);
+      IdSpan children = proposal.children(s);
       for (size_t i = 0; i < children.size(); ++i) {
-        if (dirty_mark_[children[i]]) scr[children[i]] += probs[i] * value;
+        if (leaf_mark_[children[i]] & kReceives) {
+          scr[children[i]] += probs[i] * value;
+        }
       }
     }
-    for (size_t j = 0; j < stride; ++j) {
-      out->new_reach[qi * stride + j] = scr[out->dirty[j]];
-    }
-  }
+    for (StateId s : leaf_marked_) leaf_mark_[s] = 0;
 
-  // Effectiveness delta: tables containing members of affected queries.
-  new_discovery_.assign(reps_.query_attrs.size(), -1.0);
-  out->affected_attrs = 0;
-  affected_tables_.clear();
-  for (size_t qi = 0; qi < out->affected_queries.size(); ++qi) {
-    uint32_t q = out->affected_queries[qi];
-    StateId leaf = proposal.LeafOf(reps_.query_attrs[q]);
-    // Position of the leaf within the dirty vector.
-    double disc = 0.0;
-    for (size_t j = 0; j < out->dirty.size(); ++j) {
-      if (out->dirty[j] == leaf) {
-        disc = out->new_reach[qi * stride + j];
-        break;
-      }
-    }
-    new_discovery_[q] = disc;
+    // Effectiveness delta: tables containing members of affected queries.
+    new_discovery_[q] = scr[leaf];
+    out->new_discovery.push_back(scr[leaf]);
     out->affected_attrs += reps_.members[q].size();
     affected_tables_.insert(affected_tables_.end(),
                             tables_of_query_[q].begin(),
@@ -696,17 +705,52 @@ void IncrementalEvaluator::EvaluateProposal(
   out->effectiveness =
       effectiveness_ + (weight_total_ > 0.0 ? delta / weight_total_ : 0.0);
 
-  // Pruning/cache telemetry. The tallies are drained even when metrics
-  // are off, so a later enable never flushes stale counts; the atomic adds
-  // happen once per proposal, not per state.
-  EvalScratch& sc = scratch_;
+  // Pruning telemetry; the atomic adds happen once per proposal, not per
+  // state.
   if (obs::MetricsEnabled()) {
     em.proposals.Add();
     em.dirty_states.Add(out->dirty.size());
+    em.decision_states.Add(decision_states);
     em.alive_states.Add(proposal.NumAliveStates());
     em.affected_queries.Add(out->affected_queries.size());
     em.queries.Add(reps_.query_attrs.size());
     em.affected_attrs.Add(out->affected_attrs);
+  }
+  FlushTallies();
+  pending_ = out;
+}
+
+void IncrementalEvaluator::MarkLeafAncestors(const Organization& proposal,
+                                             StateId leaf) {
+  std::vector<double>& scr = scratch_.state_reach;
+  leaf_marked_.clear();
+  leaf_mark_[leaf] = kReceives;
+  scr[leaf] = 0.0;
+  leaf_marked_.push_back(leaf);
+  // leaf_marked_ doubles as the work list of the walk up the parents,
+  // which continues through dirty states only.
+  for (size_t i = 0; i < leaf_marked_.size(); ++i) {
+    StateId d = leaf_marked_[i];
+    if (!(leaf_mark_[d] & kReceives)) continue;
+    for (StateId p : proposal.parents(d)) {
+      if (leaf_mark_[p]) continue;
+      leaf_marked_.push_back(p);
+      if (dirty_mark_[p]) {
+        leaf_mark_[p] = kSweeps | kReceives;
+        scr[p] = 0.0;
+      } else {
+        leaf_mark_[p] = kSweeps;
+      }
+    }
+  }
+}
+
+void IncrementalEvaluator::FlushTallies() {
+  // Cache telemetry. The tallies are drained even when metrics are off,
+  // so a later enable never flushes stale counts.
+  EvalScratch& sc = scratch_;
+  if (obs::MetricsEnabled()) {
+    EvalMetrics& em = EvalMetrics::Get();
     em.cache_hits.Add(sc.cache_hits);
     em.cache_repairs.Add(sc.cache_repairs);
     em.row_memo_hits.Add(sc.row_hits);
@@ -719,8 +763,35 @@ void IncrementalEvaluator::EvaluateProposal(
 
 void IncrementalEvaluator::Commit(const Organization& new_org,
                                   const ProposalEvaluation& eval) {
-  committed_ = &new_org;
+  assert(&eval == pending_ && "Commit must follow its own EvaluateProposal");
+  pending_ = nullptr;
   size_t num_q = reps_.query_attrs.size();
+
+  // Reach over the whole dirty closure for each affected query, written
+  // straight into the cache: the DP of EvaluateProposal over every
+  // relevant parent and dirty child. EvaluateProposal left dirty_mark_
+  // and relevant_parents_ for this proposal and repaired every frontier
+  // parent for these queries, so their cached values are read directly.
+  for (size_t qi = 0; qi < eval.affected_queries.size(); ++qi) {
+    uint32_t q = eval.affected_queries[qi];
+    const Vec& query = QueryVec(q);
+    std::vector<double>& reach = reach_[q];
+    for (StateId d : eval.dirty) reach[d] = 0.0;
+    for (StateId s : relevant_parents_) {
+      assert(dirty_mark_[s] || !stale_[q].Test(s));
+      double value = reach[s];
+      if (value == 0.0) continue;
+      const double* probs =
+          TransitionsFromInto(new_org, s, q, query, query_norms_[q]);
+      IdSpan children = new_org.children(s);
+      for (size_t i = 0; i < children.size(); ++i) {
+        if (dirty_mark_[children[i]]) reach[children[i]] += probs[i] * value;
+      }
+    }
+    query_discovery_[q] = reach[new_org.LeafOf(reps_.query_attrs[q])];
+    assert(query_discovery_[q] == eval.new_discovery[qi]);
+  }
+  committed_ = &new_org;
 
   // Removed states: zero everywhere, never stale.
   for (StateId r : eval.removed) {
@@ -729,22 +800,21 @@ void IncrementalEvaluator::Commit(const Organization& new_org,
       stale_[q].Clear(r);
     }
   }
-  // Mark dirty states stale for every query, then overwrite + unmark the
-  // re-evaluated ones.
+  // Dirty states are stale for every query but the affected ones.
   for (uint32_t q = 0; q < num_q; ++q) {
     for (StateId d : eval.dirty) stale_[q].Set(d);
   }
-  for (size_t qi = 0; qi < eval.affected_queries.size(); ++qi) {
-    uint32_t q = eval.affected_queries[qi];
-    for (size_t j = 0; j < eval.dirty.size(); ++j) {
-      reach_[q][eval.dirty[j]] = eval.new_reach[qi * eval.dirty.size() + j];
-      stale_[q].Clear(eval.dirty[j]);
-    }
-    query_discovery_[q] =
-        reach_[q][new_org.LeafOf(reps_.query_attrs[q])];
+  for (uint32_t q : eval.affected_queries) {
+    for (StateId d : eval.dirty) stale_[q].Clear(d);
   }
   for (const auto& [t, prob] : eval.new_table_probs) table_prob_[t] = prob;
   effectiveness_ = eval.effectiveness;
+
+  if (obs::MetricsEnabled()) {
+    EvalMetrics::Get().commit_closure_states.Add(
+        eval.affected_queries.size() * relevant_parents_.size());
+  }
+  FlushTallies();
 }
 
 }  // namespace lakeorg

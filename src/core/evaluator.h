@@ -8,7 +8,9 @@
 // IncrementalEvaluator: the search-time evaluator of section 3.4. It keeps
 // per-query reach caches, restricts re-evaluation to the affected subgraph
 // of a proposed operation (descendant closure of the changed states), and
-// optionally evaluates only attribute representatives. Cache entries that
+// optionally evaluates only attribute representatives. A proposal is
+// scored from the reach of the affected queries' own leaves; only Commit
+// recomputes the rest of the closure. Cache entries that
 // an accepted operation may have invalidated for queries that were not
 // re-evaluated are tracked with per-query stale bits and repaired on
 // demand, so table discovery probabilities stay exact for the query set in
@@ -117,7 +119,10 @@ struct RepresentativeSet {
   std::vector<std::vector<uint32_t>> members;
 };
 
-/// Outcome of evaluating one proposed operation without committing it.
+/// Outcome of evaluating one proposed operation without committing it:
+/// everything the accept/reject decision (Eq. 9) reads. The reach of the
+/// rest of the dirty closure is not part of it; Commit computes that for
+/// accepted proposals only.
 struct ProposalEvaluation {
   /// Effectiveness of the proposal organization.
   double effectiveness = 0.0;
@@ -126,11 +131,9 @@ struct ProposalEvaluation {
   std::vector<StateId> dirty;
   /// Indices into the query set whose leaf lies in the dirty closure.
   std::vector<uint32_t> affected_queries;
-  /// Flattened row-major matrix, one row of dirty.size() entries per
-  /// affected query: new_reach[i * dirty.size() + j] = reach of dirty[j]
-  /// for affected_queries[i]. Flat so a reused ProposalEvaluation holds
-  /// its capacity across proposals (no per-row vectors to reallocate).
-  std::vector<double> new_reach;
+  /// new_discovery[i] = reach of affected_queries[i]'s own leaf in the
+  /// proposal organization (its discovery probability).
+  std::vector<double> new_discovery;
   /// (local table, new discovery probability) for affected tables.
   std::vector<std::pair<uint32_t, double>> new_table_probs;
   /// Number of context attributes whose discovery probability was
@@ -177,16 +180,21 @@ class IncrementalEvaluator {
   /// (the local search's undo-log path — valid because cache repair only
   /// reads non-dirty states, which the operation did not touch; callers
   /// must Undo or Commit before the next proposal). `topic_changed` /
-  /// `children_changed` / `removed` come from the operation.
+  /// `children_changed` / `removed` come from the operation. Computes each
+  /// affected query's reach at its own leaf only, from a DP over that
+  /// leaf's dirty ancestors and their parents.
   void EvaluateProposal(const Organization& proposal,
                         const std::vector<StateId>& topic_changed,
                         const std::vector<StateId>& children_changed,
                         const std::vector<StateId>& removed,
                         ProposalEvaluation* out);
 
-  /// Commits an evaluated proposal: `new_org` replaces the committed
-  /// organization and the caches absorb `eval`. `eval` is only read, so
-  /// the caller can keep reusing its buffers for the next proposal.
+  /// Commits the proposal just evaluated: `eval` must be the output of the
+  /// last EvaluateProposal call, and `new_org` that call's proposal (or
+  /// the object now holding it). Runs the reach DP over the whole dirty
+  /// closure for every affected query, writing it into the reach cache,
+  /// then makes `new_org` the committed organization. `eval` is only read,
+  /// so the caller can keep reusing its buffers for the next proposal.
   void Commit(const Organization& new_org, const ProposalEvaluation& eval);
 
   /// Number of queries in the query set.
@@ -207,11 +215,17 @@ class IncrementalEvaluator {
   /// Cached per-table discovery probabilities.
   const std::vector<double>& table_probs() const { return table_prob_; }
 
+  /// Cached reach of state `s` for query `q` in the committed
+  /// organization. Fresh for the dirty closure of each affected query of
+  /// the last Commit; other entries may be stale (see StateReachability).
+  double CachedReach(uint32_t q, StateId s) const { return reach_[q][s]; }
+
  private:
   /// Reusable scratch: sims/probs for one state's child list, a
   /// per-state accumulation vector for EvaluateProposal, and the explicit
   /// DFS stack of EnsureFresh. The tallies are flushed into the shared
-  /// counters once per proposal, so the hot loops never touch an atomic.
+  /// counters once per EvaluateProposal or Commit, so the hot loops never
+  /// touch an atomic.
   struct EvalScratch {
     std::vector<double> sims;
     std::vector<double> probs;
@@ -223,6 +237,14 @@ class IncrementalEvaluator {
     uint64_t row_misses = 0;
     uint64_t row_no_slot = 0;
   };
+
+  /// Marks `leaf`'s dirty ancestors (itself included) kReceives and
+  /// their parents kSweeps in leaf_mark_, listing them in leaf_marked_,
+  /// and zeroes the receiving states' scratch reach.
+  void MarkLeafAncestors(const Organization& proposal, StateId leaf);
+
+  /// Drains the scratch tallies into the shared counters.
+  void FlushTallies();
 
   /// Ensures reach_[q][s] is fresh for the committed organization,
   /// repairing stale ancestors with an explicit-stack DFS (deep
@@ -268,9 +290,20 @@ class IncrementalEvaluator {
   std::vector<StateId> frontier_;
   std::vector<StateId> topo_;
   /// Topo-ordered states with at least one dirty child — the
-  /// query-independent skeleton of the proposal DP, computed once per
+  /// query-independent skeleton of the proposal DPs, computed once per
   /// proposal instead of rescanning the full graph per affected query.
+  /// Commit reuses it with dirty_mark_.
   std::vector<StateId> relevant_parents_;
+  /// Per-query marks of the leaf DP (MarkLeafAncestors) and the states
+  /// carrying one, so each query clears only what it marked.
+  static constexpr uint8_t kReceives = 1;
+  static constexpr uint8_t kSweeps = 2;
+  std::vector<uint8_t> leaf_mark_;
+  std::vector<StateId> leaf_marked_;
+  /// The evaluation the last EvaluateProposal wrote, until Commit or
+  /// Initialize; Commit reuses that call's dirty_mark_ and
+  /// relevant_parents_, so it accepts no other.
+  const ProposalEvaluation* pending_ = nullptr;
 
   /// Memoized child-topic cosines: kappa_cache_[q * kappa_stride_ + s] =
   /// cosine(topic(s), query q), or kKappaInvalid. Query vectors are fixed

@@ -345,21 +345,26 @@ DiffTrialResult RunDiffTrial(const DiffTrialOptions& options) {
     CheckTol(ev.effectiveness, ref_proposal_eff,
              &res.max_effectiveness_diff, "proposal effectiveness", &res);
 
-    // Dirty-subgraph reachability of the first affected query against a
-    // full oracle DP on the mutated organization.
-    if (!ev.affected_queries.empty()) {
-      uint32_t q = ev.affected_queries[0];
-      std::vector<double> want_reach = ref.ReachProbabilities(
-          current, ctx0->attr_vector(inc.reps().query_attrs[q]));
-      // Row 0 of the flattened matrix (qi = 0).
-      for (size_t j = 0; j < ev.dirty.size(); ++j) {
-        CheckTol(ev.new_reach[j], want_reach[ev.dirty[j]],
-                 &res.max_reach_diff, "proposal dirty reachability", &res);
+    const bool accept = rng.Bernoulli(kDiffAcceptProb);
+    if (accept) inc.Commit(current, ev);
+    // Every affected query against a full oracle DP on the mutated
+    // organization: the leaf reach the proposal was decided on and, once
+    // committed, the cached reach of the whole dirty closure.
+    for (size_t qi = 0; qi < ev.affected_queries.size(); ++qi) {
+      uint32_t q = ev.affected_queries[qi];
+      uint32_t attr = inc.reps().query_attrs[q];
+      std::vector<double> want_reach =
+          ref.ReachProbabilities(current, ctx0->attr_vector(attr));
+      CheckTol(ev.new_discovery[qi], want_reach[current.LeafOf(attr)],
+               &res.max_reach_diff, "proposal leaf reachability", &res);
+      if (!accept) continue;
+      for (StateId d : ev.dirty) {
+        CheckTol(inc.CachedReach(q, d), want_reach[d], &res.max_reach_diff,
+                 "committed dirty reachability", &res);
       }
     }
 
-    if (rng.Bernoulli(kDiffAcceptProb)) {
-      inc.Commit(current, ev);
+    if (accept) {
       ref_eff = ref_proposal_eff;
       res.ops_committed++;
     } else {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "benchgen/tagcloud.h"
 #include "core/evaluator.h"
@@ -270,8 +271,9 @@ TEST(IncrementalEvalDetailTest, EmptyWeightsEqualUnitWeightsExactly) {
 
 // The transition-row memo must be invisible: after any mix of Undo,
 // Commit, removed states and restart-style Initialize, every proposal
-// evaluation equals, bit for bit, that of a fresh evaluator initialized on
-// a clone of the committed organization (which has memoized nothing yet).
+// evaluation, and every committed dirty closure, equals, bit for bit, that
+// of a fresh evaluator initialized on a clone of the committed
+// organization (which has memoized nothing yet).
 // The memoized evaluator runs the local search's in-place undo-log path;
 // the fresh one sees a separate committed organization.
 struct MemoWalk {
@@ -362,12 +364,13 @@ MemoWalkTally CheckMemoMatchesFreshEvaluator(const MemoWalk& walk) {
                            op.removed, &want);
     EXPECT_EQ(got.dirty, want.dirty) << "step " << step;
     EXPECT_EQ(got.affected_queries, want.affected_queries) << "step " << step;
-    EXPECT_EQ(got.new_reach.size(), want.new_reach.size());
-    size_t n = std::min(got.new_reach.size(), want.new_reach.size());
+    EXPECT_EQ(got.new_discovery.size(), want.new_discovery.size());
+    size_t n = std::min(got.new_discovery.size(), want.new_discovery.size());
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(WithinRel(got.new_reach[i], want.new_reach[i], walk.rel_tol))
-          << "step " << step << " reach " << i << ": " << got.new_reach[i]
-          << " vs " << want.new_reach[i];
+      EXPECT_TRUE(WithinRel(got.new_discovery[i], want.new_discovery[i],
+                            walk.rel_tol))
+          << "step " << step << " leaf reach " << i << ": "
+          << got.new_discovery[i] << " vs " << want.new_discovery[i];
     }
     EXPECT_EQ(got.new_table_probs.size(), want.new_table_probs.size());
     n = std::min(got.new_table_probs.size(), want.new_table_probs.size());
@@ -393,7 +396,17 @@ MemoWalkTally CheckMemoMatchesFreshEvaluator(const MemoWalk& walk) {
         << "step " << step;
 
     if (rng.Bernoulli(walk.commit_prob)) {
+      // Both run the closure DP; the cached closures must agree too.
       memo.Commit(current, got);
+      fresh.Commit(current, want);
+      for (uint32_t q : want.affected_queries) {
+        for (StateId d : want.dirty) {
+          EXPECT_TRUE(WithinRel(memo.CachedReach(q, d),
+                                fresh.CachedReach(q, d), walk.rel_tol))
+              << "step " << step << " query " << q << " state " << d << ": "
+              << memo.CachedReach(q, d) << " vs " << fresh.CachedReach(q, d);
+        }
+      }
       committed.CopyFrom(current);
       if (tally.commits++ % 4 == 0) restart_point.CopyFrom(current);
     } else {
@@ -429,6 +442,104 @@ TEST(IncrementalEvalMemoTest, RowsWithoutSlotMatchFreshEvaluator) {
   EXPECT_GE(tally.proposals, 100u);
   EXPECT_GE(tally.commits, 80u);
   EXPECT_GT(tally.no_slot_rows, 0u);
+}
+
+// The decision/commit split: EvaluateProposal decides from each affected
+// query's reach at its own leaf, and Commit recomputes the whole dirty
+// closure. The two must agree bit for bit, or the cached table
+// probabilities (Eq. 5 over the decision values) drift from the cached
+// attribute discovery (the closure values) they summarize. The walk is
+// growth-heavy, so many states have several parents, where a parent the
+// leaf DP misses or a different summation order shows; it mixes Undo,
+// Commit and restart-style Initialize on the in-place undo-log path.
+void CheckDecisionMatchesClosure(bool use_reps) {
+  TagCloudBenchmark bench = SmallBench(41);
+  TagIndex index = TagIndex::Build(bench.lake);
+  auto ctx = OrgContext::BuildFull(bench.lake, index);
+  TransitionConfig config;
+  Rng rng(17);
+  RepresentativeSet reps;
+  if (use_reps) {
+    RepresentativeOptions ropts;
+    ropts.fraction = 0.3;
+    reps = SelectRepresentatives(*ctx, ropts, &rng);
+  } else {
+    reps = IdentityRepresentatives(*ctx);
+  }
+  IncrementalEvaluator evaluator(config, ctx, std::move(reps));
+
+  Organization current = BuildClusteringOrganization(ctx);
+  current.RecomputeLevels();
+  evaluator.Initialize(current);
+  Organization restart_point = current.Clone();
+  ReachabilityFn reach = [&evaluator](StateId s) {
+    return evaluator.StateReachability(s);
+  };
+
+  OpUndo undo;
+  OpResult op;
+  ProposalEvaluation eval;
+  size_t commits = 0, undos = 0, restarts = 0;
+  for (int step = 0; step < 500 && commits < 120; ++step) {
+    if (step % 89 == 88) {
+      current.CopyFrom(restart_point);
+      current.RecomputeLevels();
+      evaluator.Initialize(current);
+      ++restarts;
+    }
+    StateId target = static_cast<StateId>(rng.UniformInt(
+        0, static_cast<int64_t>(current.num_states() - 1)));
+    if (!current.alive(target) || target == current.root() ||
+        current.level(target) < 0) {
+      continue;
+    }
+    if (rng.Bernoulli(0.9)) {
+      ApplyAddParent(&current, target, reach, &undo, &op);
+    } else {
+      ApplyDeleteParent(&current, target, reach, &undo, &op);
+    }
+    if (!op.applied) continue;
+    evaluator.EvaluateProposal(current, op.topic_changed, op.children_changed,
+                               op.removed, &eval);
+    if (!rng.Bernoulli(0.7)) {
+      current.Undo(undo);
+      ++undos;
+      continue;
+    }
+    evaluator.Commit(current, eval);
+    if (++commits % 5 == 0) restart_point.CopyFrom(current);
+
+    std::vector<double> want(ctx->num_tables());
+    for (uint32_t t = 0; t < ctx->num_tables(); ++t) {
+      double miss = 1.0;
+      for (uint32_t a : ctx->table_attrs(t)) {
+        miss *= (1.0 - evaluator.AttrDiscovery(a));
+      }
+      want[t] = 1.0 - miss;
+    }
+    const std::vector<double>& got = evaluator.table_probs();
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "commit at step " << step;
+  }
+  EXPECT_GE(commits, 100u);
+  EXPECT_GE(undos, 20u);
+  EXPECT_GE(restarts, 2u);
+  size_t multi_parent = 0;
+  for (StateId s = 0; s < current.num_states(); ++s) {
+    if (current.alive(s) && current.parents(s).size() > 1) ++multi_parent;
+  }
+  EXPECT_GE(multi_parent, 10u);
+}
+
+TEST(DecisionCommitSplitTest, ExactQueriesMatchClosureBitwise) {
+  CheckDecisionMatchesClosure(/*use_reps=*/false);
+}
+
+TEST(DecisionCommitSplitTest, RepresentativesMatchClosureBitwise) {
+  CheckDecisionMatchesClosure(/*use_reps=*/true);
 }
 
 }  // namespace

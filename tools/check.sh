@@ -54,7 +54,11 @@ run_sanitizer_tier() {
   # Optimizer golden trace + telemetry (incl. the 8-thread counter
   # exactness test — the TSan run is the lock-freedom proof), the
   # incremental evaluator's caches and transition-row memo
-  # (IncrementalEval), and the optimizer's only concurrency: the shard
+  # (IncrementalEval, and its parameterized property test, whose names
+  # start with the ExactAndApprox/ instantiation prefix), the bit
+  # identity of a proposal's leaf reach with its committed closure
+  # (DecisionCommitSplit), leaf-restricted exact scoring
+  # (AncestorScoring), and the optimizer's only concurrency: the shard
   # pool that optimizes sharded and multi-dimensional parts in parallel
   # under the memory gate (ShardedSearch, MultiDim) and the pool itself
   # (ThreadPool). Then the live-evolution surface: snapshot publish/pin
@@ -71,7 +75,7 @@ run_sanitizer_tier() {
   # TSan leg races the loop thread against Stop and the counter reads),
   # and loadgen-vs-oracle equivalence.
   (cd "$tree" && ctest --output-on-failure -j "$jobs" -LE slow \
-    -R '^(GoldenTrace|IncrementalEval|ShardedSearch|MultiDim|ThreadPool|MetricsTest|BenchReport|Json|OrgSnapshot|Repair|LakeDelta|LiveLake|NavService|Navigation|LruCache|WalFormat|DurableLog|LakeMutation|WalRecord|Durability|NetFrame|NetProtocol|NavServer|NetLoadgen|Adaptive|ClickLog|ClickEvent|BuildRepairPlan|BehaviorLog)')
+    -R '^(GoldenTrace|IncrementalEval|ExactAndApprox/IncrementalEval|DecisionCommitSplit|AncestorScoring|ShardedSearch|MultiDim|ThreadPool|MetricsTest|BenchReport|Json|OrgSnapshot|Repair|LakeDelta|LiveLake|NavService|Navigation|LruCache|WalFormat|DurableLog|LakeMutation|WalRecord|Durability|NetFrame|NetProtocol|NavServer|NetLoadgen|Adaptive|ClickLog|ClickEvent|BuildRepairPlan|BehaviorLog)')
   # 60 seconds of fixed-seed fuzz: the difftest driver stops at the time
   # budget, so the seed range it covers grows with machine speed but
   # every run starts from the same seeds.
