@@ -26,13 +26,12 @@
 namespace lakeorg {
 
 /// Accumulated click-through counts over an organization's edges.
-/// State ids are stable across ordinary organization mutations, so a log
+/// A StateId names one state for the organization's whole life, so a log
 /// survives incremental reorganization; counts on removed states simply
-/// stop mattering. RecycleDeadStates is the exception: it reuses dead
-/// slots, after which an old count can name a brand-new state. Consumers
-/// that blend logs across recycling (the adaptive loop) must validate
-/// entries against the current organization first (ClickEventValid) or
-/// Clear() the log when the organization's lineage changes.
+/// stop mattering. Consumers that blend events into a log (the adaptive
+/// loop) validate each against the current organization first
+/// (ClickEventValid) and Clear() the log when the organization's lineage
+/// changes (a repair splice renumbers states).
 class BehaviorLog {
  public:
   /// Records one observed user transition from `from` to `to`.

@@ -61,8 +61,6 @@ void Organization::Reserve(size_t states, size_t edges) {
   parents_r_.reserve(states);
   children_r_.reserve(states);
   tags_r_.reserve(states);
-  slot_version_.reserve(states);
-  in_free_list_.reserve(states);
   topic_.reserve(states * stride_);
   topic_sum_.reserve(states * stride_);
   // Every edge occupies one slot in its parent's child range and one in
@@ -170,45 +168,19 @@ void Organization::Undo(const OpUndo& undo) {
 
 StateId Organization::NewState(StateKind kind) {
   assert(undo_ == nullptr && "cannot create states under an undo log");
-  StateId id;
-  if (!free_list_.empty()) {
-    id = free_list_.back();
-    free_list_.pop_back();
-    in_free_list_[id] = 0;
-    ++slot_version_[id];
-    // The recycled slot keeps its arena blocks (begin/cap) so the new
-    // state reuses the slack in place; only the live sizes reset.
-    parents_r_[id].size = 0;
-    children_r_[id].size = 0;
-    tags_r_[id].size = 0;
-    std::fill_n(topic_.begin() + static_cast<size_t>(id) * stride_, stride_,
-                0.0f);
-    std::fill_n(topic_sum_.begin() + static_cast<size_t>(id) * stride_,
-                stride_, 0.0f);
-  } else {
-    id = static_cast<StateId>(kind_.size());
-    kind_.push_back(StateKind::kInterior);
-    alive_.push_back(1);
-    level_.push_back(-1);
-    attr_.push_back(kInvalidId);
-    value_count_.push_back(0);
-    topic_norm_.push_back(0.0);
-    attrs_.emplace_back(ctx_->num_attrs());
-    parents_r_.emplace_back();
-    children_r_.emplace_back();
-    tags_r_.emplace_back();
-    slot_version_.push_back(0);
-    in_free_list_.push_back(0);
-    topic_.resize(topic_.size() + stride_, 0.0f);
-    topic_sum_.resize(topic_sum_.size() + stride_, 0.0f);
-  }
-  kind_[id] = kind;
-  alive_[id] = 1;
-  level_[id] = -1;
-  attr_[id] = kInvalidId;
-  value_count_[id] = 0;
-  topic_norm_[id] = 0.0;
-  attrs_[id].Reset(ctx_->num_attrs());
+  StateId id = static_cast<StateId>(kind_.size());
+  kind_.push_back(kind);
+  alive_.push_back(1);
+  level_.push_back(-1);
+  attr_.push_back(kInvalidId);
+  value_count_.push_back(0);
+  topic_norm_.push_back(0.0);
+  attrs_.emplace_back(ctx_->num_attrs());
+  parents_r_.emplace_back();
+  children_r_.emplace_back();
+  tags_r_.emplace_back();
+  topic_.resize(topic_.size() + stride_, 0.0f);
+  topic_sum_.resize(topic_sum_.size() + stride_, 0.0f);
   return id;
 }
 
@@ -563,21 +535,6 @@ void Organization::CompactStorage() {
   compact(&tag_slots_, {&tags_r_}, &tag_garbage_);
 }
 
-size_t Organization::RecycleDeadStates() {
-  assert(undo_ == nullptr &&
-         "cannot recycle while an operation may still be undone");
-  size_t recycled = 0;
-  for (StateId s = 0; s < num_states(); ++s) {
-    if (alive_[s] || in_free_list_[s]) continue;
-    assert(parents_r_[s].size == 0 && children_r_[s].size == 0 &&
-           "dead state still has edges");
-    free_list_.push_back(s);
-    in_free_list_[s] = 1;
-    ++recycled;
-  }
-  return recycled;
-}
-
 size_t Organization::NumAliveStates() const {
   size_t n = 0;
   for (uint8_t a : alive_) {
@@ -588,8 +545,7 @@ size_t Organization::NumAliveStates() const {
 
 std::vector<StateId> Organization::TopologicalOrder() const {
   // Kahn's algorithm restricted to states reachable from the root. This
-  // variant allocates locally so concurrent readers (the batch evaluator's
-  // worker threads) can call it safely.
+  // variant allocates locally so concurrent readers can call it safely.
   std::vector<StateId> order;
   if (root_ == kInvalidId) return order;
   std::vector<char> reachable(num_states(), 0);
@@ -727,13 +683,10 @@ size_t Organization::HeapBytes() const {
   bytes += (parents_r_.capacity() + children_r_.capacity() +
             tags_r_.capacity()) *
            sizeof(Range);
-  bytes += slot_version_.capacity() * sizeof(uint32_t);
-  bytes += in_free_list_.capacity() * sizeof(uint8_t);
   bytes += edge_slots_.capacity() * sizeof(StateId);
   bytes += tag_slots_.capacity() * sizeof(uint32_t);
   bytes += (topic_.capacity() + topic_sum_.capacity()) * sizeof(float);
-  bytes += (free_list_.capacity() + leaf_of_attr_.capacity()) *
-           sizeof(StateId);
+  bytes += leaf_of_attr_.capacity() * sizeof(StateId);
   // Spilled sets hold one bitset word per 64 attributes of the universe;
   // copy-on-write shares are charged to every holder (upper bound).
   size_t spilled_bytes = ((ctx_->num_attrs() + 63) / 64) * sizeof(uint64_t);

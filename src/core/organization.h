@@ -80,8 +80,8 @@ using FloatSpan = ConstSpan<float>;
 /// the next mutating Organization call.
 struct OrgState {
   StateKind kind = StateKind::kInterior;
-  /// Removed states stay in the arena with alive == false so StateIds are
-  /// stable across mutations (explicit recycling aside).
+  /// Removed states stay in the arena with alive == false, so a StateId
+  /// names one state for the organization's whole life.
   bool alive = true;
   /// Local attribute id for leaves; kInvalidId otherwise.
   uint32_t attr = kInvalidId;
@@ -159,11 +159,11 @@ struct OpUndo {
 /// mutations (the local-search operations do this once per operation).
 ///
 /// Thread-safety: concurrent reads through the per-field accessors and
-/// state() views are safe (evaluator worker threads rely on this), EXCEPT
-/// the scratch-backed queries WouldCreateCycle / TopologicalOrderInto /
-/// StatesAtLevelInto, which reuse per-organization scratch buffers and must
-/// only be called from the thread that owns the organization. Mutations are
-/// single-threaded per organization.
+/// state() views are safe (served sessions walking one pinned snapshot
+/// rely on this), EXCEPT the scratch-backed queries WouldCreateCycle /
+/// TopologicalOrderInto / StatesAtLevelInto, which reuse per-organization
+/// scratch buffers and must only be called from the thread that owns the
+/// organization. Mutations are single-threaded per organization.
 class Organization {
  public:
   /// Creates an empty organization over `ctx`.
@@ -255,8 +255,7 @@ class Organization {
   /// contents and, when the operation changed levels, re-runs the level
   /// BFS. Requires no active journal. Safe on an empty log. The journal is
   /// self-contained, so rollback stays exact even after later operations
-  /// relocated or compacted the arenas — but it must not be replayed after
-  /// RecycleDeadStates (it could resurrect a recycled slot).
+  /// relocated or compacted the arenas.
   void Undo(const OpUndo& undo);
 
   /// Recomputes the attribute set and topic of one non-leaf state from its
@@ -287,21 +286,6 @@ class Organization {
   /// re-packed in state order). Requires no active undo log. Outstanding
   /// OpUndo journals remain replayable (they are self-contained).
   void CompactStorage();
-
-  /// Pushes every dead, detached state onto the free list so NewState can
-  /// reuse its slot (bumping the slot's version); returns how many were
-  /// recycled. num_states() is unchanged — StateIds of live states remain
-  /// stable. Requires no active undo log, and callers must drop outstanding
-  /// OpUndo journals and reinitialize evaluator caches afterwards (a
-  /// recycled id changes identity, which slot_version makes observable).
-  size_t RecycleDeadStates();
-
-  /// Number of recycled slots awaiting reuse.
-  size_t FreeListSize() const { return free_list_.size(); }
-
-  /// Version of slot `s`, bumped each time the slot is recycled into a new
-  /// state. A (StateId, version) pair is a stable identity across reuse.
-  uint32_t slot_version(StateId s) const { return slot_version_[s]; }
 
   /// Dead slots currently occupying the shared arenas (compaction
   /// trigger input); in arena elements, not bytes.
@@ -425,7 +409,7 @@ class Organization {
 
   static constexpr size_t kNoJournal = static_cast<size_t>(-1);
 
-  /// Allocates (or recycles) a state slot and resets its fields.
+  /// Appends a state slot with fields reset.
   StateId NewState(StateKind kind);
   void RefreshTopic(StateId s);
   /// Journals `s` into the active undo log on its first touch. Returns the
@@ -472,8 +456,6 @@ class Organization {
   std::vector<Range> parents_r_;
   std::vector<Range> children_r_;
   std::vector<Range> tags_r_;
-  std::vector<uint32_t> slot_version_;
-  std::vector<uint8_t> in_free_list_;
 
   // Shared arenas.
   std::vector<StateId> edge_slots_;  // parent and child ranges
@@ -486,7 +468,6 @@ class Organization {
   size_t edge_garbage_ = 0;
   size_t tag_garbage_ = 0;
 
-  std::vector<StateId> free_list_;
   std::vector<StateId> leaf_of_attr_;
   StateId root_ = kInvalidId;
 

@@ -13,9 +13,9 @@
 //
 // Every descend a session takes is one observed transition. The policy
 // drains the sink, drops events that do not name a live edge of the
-// *current* snapshot (stale versions; states recycled by
-// RecycleDeadStates), blends the survivors into Dirichlet-smoothed
-// transition posteriors (core/behavior_log), and scores drift: the
+// *current* snapshot (stale versions, dead states, non-edges), blends
+// the survivors into Dirichlet-smoothed transition posteriors
+// (core/behavior_log), and scores drift: the
 // count-weighted total-variation distance between the Equation 1 prior
 // and the posterior at each observed state. When drift crosses the
 // threshold, it re-optimizes only the observed subgraph under the
@@ -86,9 +86,7 @@ class ClickLogSink {
 
 /// True when `event` names a live edge of `org`: both endpoints in range
 /// and alive, `to` a child of `from`, and the query attribute in range.
-/// Events recorded against a state later recycled by RecycleDeadStates
-/// fail this check (the slot now names a different state) and must be
-/// dropped, never blended.
+/// Events that fail it are dropped, never blended.
 bool ClickEventValid(const Organization& org, const OrgContext& ctx,
                      const ClickEvent& event);
 
@@ -147,7 +145,7 @@ struct AdaptiveTickReport {
   size_t drained = 0;
   /// ... of which dropped for naming a superseded snapshot version.
   size_t dropped_stale = 0;
-  /// ... or for not naming a live edge (recycled/dead/foreign states).
+  /// ... or for not naming a live edge (dead/foreign states, non-edges).
   size_t dropped_invalid = 0;
   /// Drift score after blending.
   double drift = 0.0;

@@ -163,16 +163,6 @@ constexpr size_t kDiffOps = 24;
 constexpr double kDiffAcceptProb = 0.5;
 constexpr double kSuccessTheta = 0.8;
 
-// RunRecycleTrial: churn rounds (ops -> RecycleDeadStates -> slot reuse
-// -> re-initialize -> oracle check), random ops per round, the
-// probability an applied op is committed (rollbacks exercise the undo
-// journal against recycled and relocated slots), and the probability a
-// churn op is DELETE_PARENT (vs ADD_PARENT).
-constexpr size_t kRecycleRounds = 4;
-constexpr size_t kRecycleOpsPerRound = 10;
-constexpr double kRecycleAcceptProb = 0.8;
-constexpr double kRecycleDeleteProb = 0.7;
-
 // RunRepairTrial: mutations per batch and the proposal budget of the
 // localized re-optimization.
 constexpr size_t kRepairMutations = 3;
@@ -592,183 +582,6 @@ RepairTrialResult RunRepairTrial(const TrialOptions& options) {
     res.Fail("effectiveness mismatch: incremental " +
              std::to_string(inc.effectiveness()) + " vs reference " +
              std::to_string(want));
-  }
-  return res;
-}
-
-RecycleTrialResult RunRecycleTrial(const TrialOptions& options) {
-  RecycleTrialResult res;
-
-  Rng rng(options.seed);
-  FuzzLake fl = MakeFuzzLake(&rng);
-  std::shared_ptr<const OrgContext> ctx = fl.ctx;
-  Organization current = RandomOrganization(ctx, &rng);
-  const size_t num_tags = ctx->num_tags();
-  const uint32_t num_attrs = static_cast<uint32_t>(ctx->num_attrs());
-
-  TransitionConfig config;
-  ReferenceEvaluator ref(config);
-  IncrementalEvaluator inc(config, ctx, IdentityRepresentatives(*ctx));
-  inc.Initialize(current);
-
-  ReachabilityFn reach = [&inc](StateId s) {
-    return inc.StateReachability(s);
-  };
-  OpUndo undo;
-
-  for (size_t round = 0; round < kRecycleRounds && res.ok; ++round) {
-    // Churn: a delete-biased op sequence (the second and later rounds run
-    // it over recycled slots, which is the StateId-stability stress).
-    for (size_t i = 0; i < kRecycleOpsPerRound && res.ok; ++i) {
-      std::vector<StateId> topo = current.TopologicalOrder();
-      StateId target = topo[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(topo.size()) - 1))];
-      bool del = rng.Bernoulli(kRecycleDeleteProb);
-      double eff_before = inc.effectiveness();
-      OpResult op = del ? ApplyDeleteParent(&current, target, reach, &undo)
-                        : ApplyAddParent(&current, target, reach, &undo);
-      if (!op.applied) continue;
-      res.ops_applied++;
-
-      Status valid = current.Validate();
-      if (!valid.ok()) {
-        res.Fail("Validate after churn op: " + valid.ToString());
-        break;
-      }
-      Status topics = CheckTopicInvariants(current);
-      if (!topics.ok()) {
-        res.Fail("topic invariants after churn op: " + topics.ToString());
-        break;
-      }
-
-      ProposalEvaluation ev;
-      inc.EvaluateProposal(current, op.topic_changed, op.children_changed,
-                            op.removed, &ev);
-      CheckTol(ev.effectiveness, ref.Effectiveness(current),
-               &res.max_effectiveness_diff, "churn proposal effectiveness",
-               &res);
-
-      if (rng.Bernoulli(kRecycleAcceptProb)) {
-        inc.Commit(current, ev);
-      } else {
-        current.Undo(undo);
-        if (inc.effectiveness() != eff_before) {
-          res.Fail("rejected churn op changed committed effectiveness");
-        }
-      }
-    }
-    if (!res.ok) break;
-
-    // Snapshot identities, then recycle.
-    const size_t n = current.num_states();
-    std::vector<StateId> leaf_before(num_attrs);
-    for (uint32_t a = 0; a < num_attrs; ++a) {
-      leaf_before[a] = current.LeafOf(a);
-    }
-    std::vector<uint32_t> version_before(n);
-    for (StateId s = 0; s < n; ++s) {
-      version_before[s] = current.slot_version(s);
-    }
-
-    size_t recycled = current.RecycleDeadStates();
-    res.states_recycled += recycled;
-    if (current.FreeListSize() < recycled) {
-      res.Fail("free list smaller than the recycled count");
-      break;
-    }
-
-    // Drain the free list with fresh random interior states. Every one
-    // must land on a recycled slot (num_states unchanged) with a bumped
-    // slot version, and attach under the root.
-    std::vector<StateId> tag_state(num_tags, kInvalidId);
-    for (StateId s = 0; s < n; ++s) {
-      if (current.alive(s) && current.kind(s) == StateKind::kTag) {
-        tag_state[current.tags(s)[0]] = s;
-      }
-    }
-    while (current.FreeListSize() > 0 && res.ok) {
-      size_t k = static_cast<size_t>(
-          rng.UniformInt(2, static_cast<int64_t>(std::max<size_t>(2, num_tags))));
-      std::vector<size_t> pick =
-          rng.SampleWithoutReplacement(num_tags, std::min(k, num_tags));
-      std::vector<uint32_t> tags(pick.begin(), pick.end());
-      StateId s = current.AddInteriorState(std::move(tags));
-      res.slots_reused++;
-      if (s >= n) {
-        res.Fail("reused state did not come from the free list");
-        break;
-      }
-      if (current.slot_version(s) != version_before[s] + 1) {
-        res.Fail("slot version not bumped on reuse");
-        break;
-      }
-      if (!TryEdge(&current, current.root(), s)) {
-        res.Fail("could not attach recycled state under the root");
-        break;
-      }
-      TagSpan stags = current.tags(s);
-      std::vector<uint32_t> own_tags(stags.begin(), stags.end());
-      for (uint32_t t : own_tags) {
-        if (tag_state[t] != kInvalidId && rng.Bernoulli(0.5)) {
-          TryEdge(&current, s, tag_state[t]);
-        }
-      }
-    }
-    if (!res.ok) break;
-    if (current.num_states() != n) {
-      res.Fail("slot reuse grew the state array");
-      break;
-    }
-
-    // Once drained, allocation must resume appending at the tail.
-    if (recycled > 0) {
-      std::vector<size_t> pick = rng.SampleWithoutReplacement(
-          num_tags, std::min<size_t>(2, num_tags));
-      std::vector<uint32_t> tags(pick.begin(), pick.end());
-      StateId fresh = current.AddInteriorState(std::move(tags));
-      if (fresh != n) {
-        res.Fail("post-drain allocation did not extend the state array");
-        break;
-      }
-      TryEdge(&current, current.root(), fresh);
-    }
-
-    // Leaf StateIds are permanent across recycling (section 3.2: leaves
-    // are never removed, so their slots can never be reused).
-    for (uint32_t a = 0; a < num_attrs && res.ok; ++a) {
-      if (current.LeafOf(a) != leaf_before[a] ||
-          !current.alive(leaf_before[a])) {
-        res.Fail("leaf StateId changed across recycling");
-      }
-    }
-    if (!res.ok) break;
-
-    current.RecomputeLevels();
-    Status valid = current.Validate();
-    if (!valid.ok()) {
-      res.Fail("Validate after recycle round: " + valid.ToString());
-      break;
-    }
-    Status topics = CheckTopicInvariants(current);
-    if (!topics.ok()) {
-      res.Fail("topic invariants after recycle round: " + topics.ToString());
-      break;
-    }
-
-    // Recycled ids changed identity, so evaluator caches must be rebuilt
-    // (the documented RecycleDeadStates contract); afterwards the
-    // evaluator must again match the oracle.
-    inc.Initialize(current);
-    CheckTol(inc.effectiveness(), ref.Effectiveness(current),
-             &res.max_effectiveness_diff, "post-recycle effectiveness", &res);
-  }
-  if (!res.ok) return res;
-
-  // Final cached state vs a full oracle pass.
-  std::vector<double> want = ref.AllAttributeDiscovery(current);
-  for (uint32_t a = 0; a < want.size(); ++a) {
-    CheckTol(inc.AttrDiscovery(a), want[a], &res.max_discovery_diff,
-             "final cached discovery", &res);
   }
   return res;
 }

@@ -132,28 +132,6 @@ struct RepairTrialResult : TrialResult {
 /// splice alone.
 RepairTrialResult RunRepairTrial(const TrialOptions& options);
 
-/// Outcome of one recycle trial.
-struct RecycleTrialResult : TrialResult {
-  size_t ops_applied = 0;
-  /// Dead slots pushed onto the free list across all rounds.
-  size_t states_recycled = 0;
-  /// New states that came back on recycled slots.
-  size_t slots_reused = 0;
-  double max_effectiveness_diff = 0.0;
-  double max_discovery_diff = 0.0;
-};
-
-/// One state-recycling differential trial (tools/difftest.cc --recycle).
-/// Deterministic for a fixed seed.
-///
-/// Stresses the arena free list: rounds of delete-biased op churn kill
-/// interior states, RecycleDeadStates() pushes their slots onto the free
-/// list, and fresh random interior states must come back on exactly those
-/// slots — with bumped slot versions, stable leaf StateIds, a valid
-/// organization, and evaluator results that still match the naive
-/// ReferenceEvaluator oracle after re-initialization.
-RecycleTrialResult RunRecycleTrial(const TrialOptions& options);
-
 /// Outcome of one sharded trial.
 struct ShardedTrialResult : TrialResult {
   size_t shards_built = 0;

@@ -309,7 +309,8 @@ TEST_F(EvaluatorTest, IdentityRepresentativesMapEachAttrToItself) {
 // sweeps only the ancestors of its target leaves. These tests hold it to
 // the full-DAG ReachProbabilities bit for bit on organizations whose
 // topological order differs from both StateId order and discovery order:
-// multi-parent leaves, recycled slots, a stitched root.
+// multi-parent leaves, dead states beside a late-added one, a stitched
+// root.
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -421,7 +422,7 @@ TEST(AncestorScoringTest, LocalSearchMultiParentLeavesMatchFullSweep) {
   ExpectExactScoringMatchesFullSweep(org);
 }
 
-TEST(AncestorScoringTest, RecycledOrganizationWithDeadStatesMatchesFullSweep) {
+TEST(AncestorScoringTest, OrganizationWithDeadStatesMatchesFullSweep) {
   Organization org = SearchedOrganization(MakeScoringLake());
   OrgEvaluator eval;
   auto remove_parents = [&](size_t max_ops) {
@@ -438,12 +439,10 @@ TEST(AncestorScoringTest, RecycledOrganizationWithDeadStatesMatchesFullSweep) {
     return applied;
   };
   ASSERT_GT(remove_parents(4), 0u);
-  size_t recycled = org.RecycleDeadStates();
-  ASSERT_GT(recycled, 0u);
 
-  // Reuse one recycled slot for a new interior state between the root and
-  // two tag states: its StateId now lies among the old ones while its
-  // topological position is near the top.
+  // A new interior state between the root and two tag states takes a
+  // tail slot: its StateId is the largest while its topological position
+  // is near the top.
   const size_t arena = org.num_states();
   std::vector<StateId> tag_states;
   for (StateId s = 0; s < arena && tag_states.size() < 2; ++s) {
@@ -452,12 +451,13 @@ TEST(AncestorScoringTest, RecycledOrganizationWithDeadStatesMatchesFullSweep) {
   ASSERT_EQ(tag_states.size(), 2u);
   StateId fresh = org.AddInteriorState(
       {org.tags(tag_states[0])[0], org.tags(tag_states[1])[0]});
-  ASSERT_LT(fresh, arena) << "the new state did not reuse a recycled slot";
+  ASSERT_EQ(fresh, arena) << "the new state did not take a tail slot";
   ASSERT_TRUE(org.AddEdge(org.root(), fresh).ok());
   for (StateId t : tag_states) ASSERT_TRUE(org.AddEdge(fresh, t).ok());
   org.RecomputeLevels();
 
-  // Remove more parents, so dead states sit beside the reused slot.
+  // Remove more parents after the graft, so dead states come from both
+  // sides of it.
   remove_parents(2);
   size_t dead = 0;
   for (StateId s = 0; s < org.num_states(); ++s) dead += org.alive(s) ? 0 : 1;

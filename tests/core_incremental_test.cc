@@ -300,6 +300,9 @@ struct MemoWalkTally {
   size_t undos = 0;
   size_t removals = 0;
   size_t restarts = 0;
+  /// (affected query, frontier state) reach entries checked after
+  /// EvaluateProposal.
+  size_t frontier_checks = 0;
   /// Rows the memoized evaluator computed into scratch for want of a slot
   /// (counted only while metrics are enabled).
   uint64_t no_slot_rows = 0;
@@ -356,6 +359,36 @@ MemoWalkTally CheckMemoMatchesFreshEvaluator(const MemoWalk& walk) {
     memo.EvaluateProposal(current, op.topic_changed, op.children_changed,
                           op.removed, &got);
     tally.no_slot_rows += no_slot.value() - no_slot_before;
+
+    // EvaluateProposal repairs every non-dirty parent of a dirty state for
+    // each affected query, whether that query's leaf DP sweeps it or not:
+    // Commit reads these entries, and StateReachability reads them to
+    // order the search's targets. Each must equal a full DP over the
+    // committed organization.
+    std::vector<char> is_dirty(current.num_states(), 0);
+    for (StateId d : got.dirty) is_dirty[d] = 1;
+    std::vector<StateId> frontier;
+    for (StateId s : current.TopologicalOrder()) {
+      if (is_dirty[s]) continue;
+      for (StateId c : current.children(s)) {
+        if (is_dirty[c]) {
+          frontier.push_back(s);
+          break;
+        }
+      }
+    }
+    OrgEvaluator full(config);
+    for (uint32_t q : got.affected_queries) {
+      std::vector<double> want_reach = full.ReachProbabilities(
+          committed, ctx->attr_vector(memo.reps().query_attrs[q]));
+      for (StateId s : frontier) {
+        EXPECT_TRUE(WithinRel(memo.CachedReach(q, s), want_reach[s],
+                              walk.rel_tol))
+            << "step " << step << " query " << q << " frontier state " << s
+            << ": " << memo.CachedReach(q, s) << " vs " << want_reach[s];
+        ++tally.frontier_checks;
+      }
+    }
 
     IncrementalEvaluator fresh(config, ctx, IdentityRepresentatives(*ctx));
     fresh.Initialize(committed);
@@ -424,6 +457,7 @@ TEST(IncrementalEvalMemoTest, ProposalsMatchFreshEvaluatorBitwise) {
   EXPECT_GE(tally.undos, 20u);
   EXPECT_GE(tally.removals, 10u);
   EXPECT_GE(tally.restarts, 2u);
+  EXPECT_GT(tally.frontier_checks, 0u);
 }
 
 // Committed grafts keep growing child lists past their row slots until
@@ -442,6 +476,7 @@ TEST(IncrementalEvalMemoTest, RowsWithoutSlotMatchFreshEvaluator) {
   EXPECT_GE(tally.proposals, 100u);
   EXPECT_GE(tally.commits, 80u);
   EXPECT_GT(tally.no_slot_rows, 0u);
+  EXPECT_GT(tally.frontier_checks, 0u);
 }
 
 // The decision/commit split: EvaluateProposal decides from each affected

@@ -5,6 +5,8 @@
 #include <functional>
 #include <memory>
 
+#include "benchgen/tagcloud.h"
+#include "core/operations.h"
 #include "core/org_builders.h"
 #include "core/org_context.h"
 #include "core/reference_evaluator.h"
@@ -228,6 +230,52 @@ TEST(RepairTest, DeterministicForFixedSeed) {
   EXPECT_DOUBLE_EQ(a.value().effectiveness, b.value().effectiveness);
   EXPECT_EQ(a.value().reopt_proposals, b.value().reopt_proposals);
   EXPECT_EQ(a.value().states_touched, b.value().states_touched);
+}
+
+// The splice builds a fresh organization from the input's reachable alive
+// states, so dead slots never outlive an Apply: a published organization's
+// arena is bounded without reusing slots.
+TEST(RepairTest, SpliceLeavesNoDeadSlots) {
+  TagCloudOptions topts;
+  topts.num_tags = 12;
+  topts.target_attributes = 60;
+  topts.min_values = 5;
+  topts.max_values = 15;
+  topts.seed = 23;
+  TagCloudBenchmark bench = GenerateTagCloud(topts);
+  TagIndex index = TagIndex::Build(bench.lake);
+  Organization org =
+      BuildClusteringOrganization(OrgContext::BuildFull(bench.lake, index));
+  org.RecomputeLevels();
+  ReachabilityFn uniform = [](StateId) { return 1.0; };
+  size_t deleted = 0;
+  for (StateId s : org.TopologicalOrder()) {
+    if (deleted == 3) break;
+    if (!org.alive(s) || org.kind(s) != StateKind::kTag) continue;
+    if (ApplyDeleteParent(&org, s, uniform).applied) ++deleted;
+  }
+  ASSERT_EQ(deleted, 3u);
+  ASSERT_LT(org.NumAliveStates(), org.num_states());
+
+  DataLake lake = bench.lake;
+  ASSERT_TRUE(lake.BeginDelta().ok());
+  TableId t = lake.AddTable("spliced");
+  lake.Tag(t, lake.tag_name(0));
+  lake.AddAttribute(t, "v", lake.attribute(0).values);
+  Result<LakeDelta> delta = lake.TakeDelta();
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  ASSERT_TRUE(lake.ComputeMissingTopicVectors(*bench.store).ok());
+  TagIndex new_index = TagIndex::Build(lake);
+  RepairOptions opts;
+  opts.reopt_max_proposals = 0;
+  Result<RepairResult> rep =
+      RepairOrganization(org, lake, new_index, delta.value(), opts);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  const Organization& out = rep.value().org;
+  EXPECT_TRUE(out.Validate().ok()) << out.Validate().ToString();
+  EXPECT_EQ(rep.value().leaves_added, 1u);
+  EXPECT_EQ(out.num_states(), out.NumAliveStates());
+  EXPECT_LT(out.num_states(), org.num_states());
 }
 
 }  // namespace

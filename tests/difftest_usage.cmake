@@ -1,12 +1,13 @@
 # difftest --threads usage check (run via `cmake -P` from CTest). The
-# default walk, --repair, --recycle and --durability are serial: given
-# --threads they must exit 2 with a diagnostic and run no trial, and
-# their summary line carries no threads= field. The modes with
-# concurrency (--serving here) accept it and print it.
+# default walk, --repair and --durability are serial: given --threads
+# they must exit 2 with a diagnostic and run no trial, and their summary
+# line carries no threads= field. The modes with concurrency (--serving
+# here) accept it and print it. A retired mode flag is a usage error, so
+# a stale script fails loudly.
 #
 # Input: DIFFTEST (binary path).
 
-foreach(mode default --repair --recycle --durability)
+foreach(mode default --repair --durability)
   set(args)
   if(NOT mode STREQUAL "default")
     set(args ${mode})
@@ -22,6 +23,17 @@ foreach(mode default --repair --recycle --durability)
                         "and a diagnostic, got ${rc}:\n${out}\n${err}")
   endif()
 endforeach()
+
+set(retired --recycle)
+execute_process(
+  COMMAND ${DIFFTEST} ${retired} --trials 1
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "usage: difftest" OR out MATCHES "trials ok")
+  message(FATAL_ERROR "difftest ${retired}: expected exit 2 and the usage "
+                      "text, got ${rc}:\n${out}\n${err}")
+endif()
 
 execute_process(
   COMMAND ${DIFFTEST} --repair --trials 1

@@ -45,9 +45,9 @@ run_sanitizer_tier() {
     --target difftest crashtest difftest_property_test common_test \
              core_test obs_test lake_test discovery_test net_test
   # Fixed-seed differential fuzz corpus (includes the repair-delta,
-  # serving, state-recycling, crash-recovery durability, and closed-loop
-  # adaptive corpora: difftest --repair / --serving / --recycle /
-  # --durability / --adaptive — the adaptive corpus runs both serial and
+  # serving, crash-recovery durability, and closed-loop adaptive
+  # corpora: difftest --repair / --serving / --durability /
+  # --adaptive — the adaptive corpus runs both serial and
   # 4-threaded, the acceptance shape for the serve->observe->repair loop
   # — plus the crashtest matrix).
   (cd "$tree" && ctest --output-on-failure -j "$jobs" -L fuzz)
@@ -58,7 +58,8 @@ run_sanitizer_tier() {
   # start with the ExactAndApprox/ instantiation prefix), the bit
   # identity of a proposal's leaf reach with its committed closure
   # (DecisionCommitSplit), leaf-restricted exact scoring
-  # (AncestorScoring), and the optimizer's only concurrency: the shard
+  # (AncestorScoring), undo-journal rollback, across arena compaction
+  # too (UndoRoundTrip), and the optimizer's only concurrency: the shard
   # pool that optimizes sharded and multi-dimensional parts in parallel
   # under the memory gate (ShardedSearch, MultiDim) and the pool itself
   # (ThreadPool). Then the live-evolution surface: snapshot publish/pin
@@ -75,7 +76,7 @@ run_sanitizer_tier() {
   # TSan leg races the loop thread against Stop and the counter reads),
   # and loadgen-vs-oracle equivalence.
   (cd "$tree" && ctest --output-on-failure -j "$jobs" -LE slow \
-    -R '^(GoldenTrace|IncrementalEval|ExactAndApprox/IncrementalEval|DecisionCommitSplit|AncestorScoring|ShardedSearch|MultiDim|ThreadPool|MetricsTest|BenchReport|Json|OrgSnapshot|Repair|LakeDelta|LiveLake|NavService|Navigation|LruCache|WalFormat|DurableLog|LakeMutation|WalRecord|Durability|NetFrame|NetProtocol|NavServer|NetLoadgen|Adaptive|ClickLog|ClickEvent|BuildRepairPlan|BehaviorLog)')
+    -R '^(GoldenTrace|IncrementalEval|ExactAndApprox/IncrementalEval|DecisionCommitSplit|AncestorScoring|ShardedSearch|MultiDim|ThreadPool|MetricsTest|BenchReport|Json|OrgSnapshot|Repair|LakeDelta|LiveLake|NavService|Navigation|LruCache|WalFormat|DurableLog|LakeMutation|WalRecord|Durability|NetFrame|NetProtocol|NavServer|NetLoadgen|Adaptive|ClickLog|ClickEvent|BuildRepairPlan|BehaviorLog|UndoRoundTrip)')
   # 60 seconds of fixed-seed fuzz: the difftest driver stops at the time
   # budget, so the seed range it covers grows with machine speed but
   # every run starts from the same seeds.
